@@ -76,11 +76,9 @@ type ClusterOptions struct {
 	// segments whose live-byte ratio falls below it, reclaiming the
 	// space of deleted (garbage-collected) pages.
 	PageCompactRatio float64
-	// PageGroupCommit coalesces concurrent page writes on one provider
-	// into shared write+fsync batches.
-	PageGroupCommit bool
-	// PageSync forces page records to disk before PUT_PAGE acknowledges
-	// (pair with PageGroupCommit to keep concurrent writers fast).
+	// PageSync forces page records to disk before PUT_PAGE acknowledges;
+	// concurrent page writes on one provider share write+fsync batches
+	// (group commit).
 	PageSync bool
 
 	// Metadata-log knobs, the DHT mirror of the page-store knobs above.
@@ -138,7 +136,7 @@ func StartCluster(opts ClusterOptions) (*Cluster, error) {
 		cfg.PageDir = dir
 		cfg.PageStore = pagestore.DiskOptions{
 			Sync:          opts.PageSync,
-			GroupCommit:   opts.PageGroupCommit,
+			GroupCommit:   true,
 			SegmentBytes:  opts.PageSegmentBytes,
 			SnapshotEvery: opts.PageSnapshotEvery,
 			CompactRatio:  opts.PageCompactRatio,

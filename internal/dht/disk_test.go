@@ -5,12 +5,12 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"blobseer/internal/rpc"
+	"blobseer/internal/seglog"
 	"blobseer/internal/transport"
 	"blobseer/internal/vclock"
 )
@@ -79,16 +79,6 @@ func (r *durableNodeRig) client() *Client {
 		r.t.Fatal(err)
 	}
 	return NewClient(ring, r.rc, r.sched)
-}
-
-// newestSegment returns the path of the highest-numbered segment file.
-func newestSegment(t *testing.T, base string) string {
-	t.Helper()
-	segs, err := listDHTSegments(base)
-	if err != nil || len(segs) == 0 {
-		t.Fatalf("no segments at %s: %v", base, err)
-	}
-	return dhtSegmentPath(base, segs[len(segs)-1])
 }
 
 func TestDurableNodeSurvivesRestart(t *testing.T) {
@@ -196,12 +186,12 @@ func TestDurableNodeSnapshotBoundsReplay(t *testing.T) {
 		}
 	}
 	r.restart()
-	st := r.node.log.recStats
-	if !st.snapshotLoaded {
+	st := r.node.log.RecoveryStats()
+	if !st.SnapshotLoaded {
 		t.Fatalf("snapshot not loaded: %+v", st)
 	}
-	if st.recordsReplayed >= 40 {
-		t.Fatalf("replayed %d records despite snapshot", st.recordsReplayed)
+	if st.RecordsReplayed >= 40 {
+		t.Fatalf("replayed %d records despite snapshot", st.RecordsReplayed)
 	}
 	c = r.client()
 	for i := 0; i < 44; i++ {
@@ -234,7 +224,7 @@ func TestDurableNodeCompactionShrinksLog(t *testing.T) {
 	if after >= before {
 		t.Fatalf("log did not shrink: %d -> %d bytes", before, after)
 	}
-	if c, s := r.node.log.compactions(), r.node.log.snapshots(); c == 0 || s == 0 {
+	if c, s := r.node.log.Compactions(), r.node.log.Snapshots(); c == 0 || s == 0 {
 		t.Fatalf("compaction pass ran %d rewrites, %d covering snapshots", c, s)
 	}
 	// Everything live survives the rewrite and a restart byte-identically.
@@ -288,16 +278,16 @@ func TestMetaLogCloseFlushesAndTornTailReopens(t *testing.T) {
 	}
 	// sync=false appends sit in the page cache until close, which must
 	// fsync them (a clean shutdown loses nothing) and then refuse use.
-	if err := l.appendPut([]byte("k1"), []byte("v1")); err != nil {
+	if err := l.Put("k1", []byte("v1")); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.close(); err != nil {
+	if err := l.Close(); err != nil {
 		t.Fatalf("close with buffered tail: %v", err)
 	}
-	if err := l.close(); err != nil {
+	if err := l.Close(); err != nil {
 		t.Fatalf("double close: %v", err)
 	}
-	if err := l.appendPut([]byte("k2"), []byte("v2")); err == nil {
+	if err := l.Put("k2", []byte("v2")); err == nil {
 		t.Fatal("append after close succeeded")
 	}
 
@@ -310,15 +300,15 @@ func TestMetaLogCloseFlushesAndTornTailReopens(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer l2.close()
+	defer l2.Close()
 	if len(pairs) != 1 || string(pairs[0][0]) != "k1" {
 		t.Fatalf("recovered pairs = %v", pairs)
 	}
-	if err := l2.appendPut([]byte("k3"), []byte("v3")); err != nil {
+	if err := l2.Put("k3", []byte("v3")); err != nil {
 		t.Fatal(err)
 	}
-	if info, _ := os.Stat(seg); info.Size() != l2.logBytes() {
-		t.Fatalf("file size %d vs tracked %d", info.Size(), l2.logBytes())
+	if info, _ := os.Stat(seg); info.Size() != l2.LogBytes() {
+		t.Fatalf("file size %d vs tracked %d", info.Size(), l2.LogBytes())
 	}
 }
 
@@ -329,17 +319,17 @@ func TestDurableNodeDetectsCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.appendPut([]byte("k1"), []byte("v1"))
-	l.appendPut([]byte("k2"), []byte("v2"))
-	l.close()
+	l.Put("k1", []byte("v1"))
+	l.Put("k2", []byte("v2"))
+	l.Close()
 	seg := newestSegment(t, path)
 	raw, _ := os.ReadFile(seg)
-	raw[dhtSegHeaderSize+dhtRecHeaderSize] ^= 0xFF // corrupt the first record payload
+	raw[seglog.HeaderSize+seglog.FrameHeaderSize] ^= 0xFF // corrupt the first record payload
 	os.WriteFile(seg, raw, 0o644)
 	if _, _, err := openMetaLog(path, LogOptions{}); err == nil {
 		t.Fatal("payload corruption accepted")
 	}
-	binary.LittleEndian.PutUint32(raw[dhtSegHeaderSize:], 0x12345678)
+	binary.LittleEndian.PutUint32(raw[seglog.HeaderSize:], 0x12345678)
 	os.WriteFile(seg, raw, 0o644)
 	if _, _, err := openMetaLog(path, LogOptions{}); err == nil {
 		t.Fatal("bad record magic accepted")
@@ -366,69 +356,5 @@ func TestDurableNodeRepeatedRestartsNoGrowth(t *testing.T) {
 	}
 	if size := r.node.LogBytes(); size != size0 {
 		t.Fatalf("log grew from %d to %d across idempotent restarts", size0, size)
-	}
-}
-
-// legacyRecord frames one pair in the pre-segmentation single-file
-// format.
-func legacyRecord(key, value []byte) []byte {
-	rec := make([]byte, dhtLogHeaderLen+len(key)+len(value))
-	binary.LittleEndian.PutUint32(rec[0:4], dhtLogMagic)
-	binary.LittleEndian.PutUint32(rec[4:8], uint32(len(key)))
-	binary.LittleEndian.PutUint32(rec[8:12], uint32(len(value)))
-	h := crc32.NewIEEE()
-	h.Write(key)
-	h.Write(value)
-	binary.LittleEndian.PutUint32(rec[12:16], h.Sum32())
-	copy(rec[dhtLogHeaderLen:], key)
-	copy(rec[dhtLogHeaderLen+len(key):], value)
-	return rec
-}
-
-func TestLegacyNodeLogMigratesInPlace(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "meta.log")
-	var legacy []byte
-	for i := 0; i < 12; i++ {
-		legacy = append(legacy, legacyRecord(
-			[]byte(fmt.Sprintf("k%d", i)), bytes.Repeat([]byte{byte(i)}, 50))...)
-	}
-	if err := os.WriteFile(path, legacy, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	l, pairs, err := openMetaLog(path, LogOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !l.recStats.legacyMigrated {
-		t.Fatalf("no migration recorded: %+v", l.recStats)
-	}
-	if len(pairs) != 12 {
-		t.Fatalf("migrated %d pairs, want 12", len(pairs))
-	}
-	got := make(map[string][]byte)
-	for _, kv := range pairs {
-		got[string(kv[0])] = kv[1]
-	}
-	for i := 0; i < 12; i++ {
-		if !bytes.Equal(got[fmt.Sprintf("k%d", i)], bytes.Repeat([]byte{byte(i)}, 50)) {
-			t.Fatalf("pair k%d lost or changed by migration", i)
-		}
-	}
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Fatal("legacy file survived migration")
-	}
-	// The migrated log keeps working: append, close, reopen.
-	if err := l.appendPut([]byte("new"), []byte("pair")); err != nil {
-		t.Fatal(err)
-	}
-	l.close()
-	l2, pairs2, err := openMetaLog(path, LogOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l2.close()
-	if len(pairs2) != 13 {
-		t.Fatalf("reopen after migration recovered %d pairs, want 13", len(pairs2))
 	}
 }

@@ -4,43 +4,23 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"os"
 	"testing"
+
+	"blobseer/internal/seglog"
+	"blobseer/internal/seglog/seglogtest"
 )
 
-// countDHTRecordKinds scans every segment file on disk and tallies put
-// and delete records — the ground truth for the hygiene assertions.
-func countDHTRecordKinds(t *testing.T, base string) (puts, dels int) {
-	t.Helper()
-	idxs, err := listDHTSegments(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, idx := range idxs {
-		path := dhtSegmentPath(base, idx)
-		f, err := os.Open(path)
-		if err != nil {
-			t.Fatal(err)
+// countDHTRecordKinds tallies put and delete records on disk — the
+// ground truth for the hygiene assertions.
+func countDHTRecordKinds(t *testing.T, base string) (puts, tombs int) {
+	seglogtest.ScanRecords(t, metaPairs, base, func(_ uint64, r seglog.Record[string], _ int64) {
+		if r.Kind == seglog.RecPut {
+			puts++
+		} else {
+			tombs++
 		}
-		if _, err := dhtFmt.ReadHeader(f, path); err != nil {
-			f.Close()
-			t.Fatal(err)
-		}
-		if _, err := scanDHTSegment(f, path, false, func(sp scannedPair) error {
-			switch sp.rec.kind {
-			case dhtRecPut:
-				puts++
-			case dhtRecDel:
-				dels++
-			}
-			return nil
-		}); err != nil {
-			f.Close()
-			t.Fatal(err)
-		}
-		f.Close()
-	}
-	return puts, dels
+	})
+	return puts, tombs
 }
 
 // TestDurableNodeCompactionConvergesChurnedLog pins the tombstone-hygiene

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"blobseer/internal/rpc"
+	"blobseer/internal/seglog"
 	"blobseer/internal/transport"
 	"blobseer/internal/vclock"
 	"blobseer/internal/wire"
@@ -45,7 +46,9 @@ func (n *Node) Addr() string { return n.srv.Addr() }
 // Close stops the service and, for durable nodes, closes the log.
 func (n *Node) Close() {
 	n.srv.Close()
-	n.log.close()
+	if n.log != nil {
+		n.log.Close()
+	}
 }
 
 func (n *Node) shard(key []byte) *kvShard {
@@ -75,7 +78,7 @@ func (n *Node) put(key, value []byte) error {
 		return nil
 	}
 	if n.log != nil {
-		if err := n.log.appendPut(key, value); err != nil {
+		if err := n.log.Put(string(key), value); err != nil {
 			return wire.NewError(wire.CodeUnavailable, "metadata log: %v", err)
 		}
 	}
@@ -94,7 +97,7 @@ func (n *Node) put(key, value []byte) error {
 // collector's re-run removes them again. Unknown keys are no-ops.
 func (n *Node) delete(keys [][]byte) (uint64, error) {
 	var deleted uint64
-	var enqueued []*metaAppend
+	var enqueued []*seglog.Append[string]
 	var firstErr error
 	for _, key := range keys {
 		s := n.shard(key)
@@ -105,7 +108,7 @@ func (n *Node) delete(keys [][]byte) (uint64, error) {
 			continue
 		}
 		if n.log != nil {
-			a, err := n.log.enqueueDelete(key)
+			a, err := n.log.EnqueueDelete(string(key))
 			if err != nil {
 				s.mu.Unlock()
 				firstErr = err
@@ -122,7 +125,7 @@ func (n *Node) delete(keys [][]byte) (uint64, error) {
 	// failed: the first one may have designated this handler as the batch
 	// leader, and an unawaited leader stalls the whole queue.
 	for _, a := range enqueued {
-		if err := n.log.await(a); err != nil && firstErr == nil {
+		if err := n.log.Await(a); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
@@ -165,7 +168,12 @@ func (n *Node) Stats() (keys, bytes uint64) {
 // LogBytes reports the durable node's on-disk footprint: the summed
 // size of every metadata log segment (0 for an in-memory node).
 // Compaction shrinks it.
-func (n *Node) LogBytes() int64 { return n.log.logBytes() }
+func (n *Node) LogBytes() int64 {
+	if n.log == nil {
+		return 0
+	}
+	return n.log.LogBytes()
+}
 
 // SnapshotLog writes the durable node's index snapshot on demand, so
 // the next reopen replays only records logged after this call. No-op
@@ -174,7 +182,7 @@ func (n *Node) SnapshotLog() error {
 	if n.log == nil {
 		return nil
 	}
-	return n.log.snapshot()
+	return n.log.Snapshot()
 }
 
 // CompactLog rewrites metadata log segments dominated by deleted pairs
@@ -184,7 +192,7 @@ func (n *Node) CompactLog() error {
 	if n.log == nil {
 		return nil
 	}
-	return n.log.compact()
+	return n.log.Compact()
 }
 
 func (n *Node) mux() *rpc.Mux {

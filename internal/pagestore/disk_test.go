@@ -3,12 +3,13 @@ package pagestore
 import (
 	"bytes"
 	"encoding/binary"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sync"
 	"testing"
 
+	"blobseer/internal/seglog"
+	"blobseer/internal/seglog/seglogtest"
 	"blobseer/internal/wire"
 )
 
@@ -101,8 +102,8 @@ func TestDiskSnapshotBoundsReopenReplay(t *testing.T) {
 	if !st.SnapshotLoaded {
 		t.Fatalf("snapshot not loaded: %+v", st)
 	}
-	if st.SnapshotPages != 50 {
-		t.Fatalf("snapshot pages = %d, want 50", st.SnapshotPages)
+	if st.SnapshotKeys != 50 {
+		t.Fatalf("snapshot pages = %d, want 50", st.SnapshotKeys)
 	}
 	// Only the tail (10 puts + 1 tombstone) replays, not all 61 records.
 	if st.RecordsReplayed != 11 {
@@ -317,56 +318,6 @@ func TestDiskGroupCommitConcurrentTraffic(t *testing.T) {
 	}
 }
 
-func TestDiskLegacyLogMigrated(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "pages.log")
-	// Hand-craft a pre-segmentation log: records framed as
-	// magic | dataLen | id | crc | data, no file header.
-	var legacy []byte
-	want := map[int][]byte{}
-	for i := 1; i <= 5; i++ {
-		data := pageData(i)
-		want[i] = data
-		var hdr [legacyHeaderSize]byte
-		binary.LittleEndian.PutUint32(hdr[0:4], recMagic)
-		binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(data)))
-		id := pidN(i)
-		copy(hdr[8:24], id[:])
-		binary.LittleEndian.PutUint32(hdr[24:28], crc32.ChecksumIEEE(data))
-		legacy = append(legacy, hdr[:]...)
-		legacy = append(legacy, data...)
-	}
-	// Torn tail: half a header, as a crash mid-append would leave.
-	legacy = append(legacy, 0xE5, 0x5E)
-	if err := os.WriteFile(path, legacy, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	d := mustOpen(t, path, DiskOptions{})
-	if !d.RecoveryStats().LegacyMigrated {
-		t.Fatalf("legacy log not migrated: %+v", d.RecoveryStats())
-	}
-	for i, data := range want {
-		got, err := d.Get(pidN(i), 0, wire.WholePage)
-		if err != nil || !bytes.Equal(got, data) {
-			t.Fatalf("page %d after migration: %v", i, err)
-		}
-	}
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Fatalf("legacy file still present: %v", err)
-	}
-	// New writes and a clean reopen keep working on the migrated store.
-	if err := d.Put(pidN(9), pageData(9)); err != nil {
-		t.Fatal(err)
-	}
-	d.Close()
-	d2 := mustOpen(t, path, DiskOptions{})
-	defer d2.Close()
-	if pages, _ := d2.Stats(); pages != 6 {
-		t.Fatalf("pages after migration reopen = %d, want 6", pages)
-	}
-}
-
 func TestDiskRefusesSegmentGap(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "pages.log")
 	d := mustOpen(t, path, DiskOptions{SegmentBytes: 256})
@@ -399,12 +350,12 @@ func TestDiskCorruptSnapshotFallsBackToRescan(t *testing.T) {
 	d.Close()
 
 	// Flip a byte inside the snapshot payload.
-	snapPath := snapshotPath(path)
+	snapPath := seglog.SnapshotPath(path)
 	raw, err := os.ReadFile(snapPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw[recHeaderSize+5] ^= 0xFF
+	raw[seglog.FrameHeaderSize+5] ^= 0xFF
 	if err := os.WriteFile(snapPath, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -466,7 +417,7 @@ func TestDiskAppendsIntoCoveredSegmentSurvive(t *testing.T) {
 	}
 	// A torn tail in that covered-highest segment must also be truncated
 	// so future appends do not land behind garbage.
-	appendBytes(t, segmentPath(path, 1), []byte{0xE5, 0x5E, 0x0B})
+	seglogtest.EditFile(t, segmentPath(path, 1), func(raw []byte) []byte { return append(raw, 0xE5, 0x5E, 0x0B) })
 	d4 := mustOpen(t, path, DiskOptions{})
 	defer d4.Close()
 	if err := d4.Put(pidN(3), pageData(3)); err != nil {

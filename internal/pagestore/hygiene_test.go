@@ -2,55 +2,32 @@ package pagestore
 
 import (
 	"bytes"
-	"os"
 	"testing"
 
+	"blobseer/internal/seglog"
+	"blobseer/internal/seglog/seglogtest"
 	"blobseer/internal/wire"
 )
 
-// countRecordKinds scans every segment file on disk and tallies put and
-// tombstone records — the ground truth the hygiene assertions run on.
+// countRecordKinds tallies put and tombstone records on disk — the
+// ground truth the hygiene assertions run on.
 func countRecordKinds(t *testing.T, base string) (puts, tombs int) {
-	t.Helper()
-	idxs, err := listSegments(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, idx := range idxs {
-		path := segmentPath(base, idx)
-		f, err := os.Open(path)
-		if err != nil {
-			t.Fatal(err)
+	seglogtest.ScanRecords(t, pages, base, func(_ uint64, r seglog.Record[wire.PageID], _ int64) {
+		if r.Kind == seglog.RecPut {
+			puts++
+		} else {
+			tombs++
 		}
-		if _, err := segFmt.ReadHeader(f, path); err != nil {
-			f.Close()
-			t.Fatal(err)
-		}
-		if _, err := scanSegment(f, path, false, func(sr scannedRecord) error {
-			switch sr.rec.kind {
-			case recPut:
-				puts++
-			case recTomb:
-				tombs++
-			}
-			return nil
-		}); err != nil {
-			f.Close()
-			t.Fatal(err)
-		}
-		f.Close()
-	}
+	})
 	return puts, tombs
 }
 
-// roll seals the active segment so the records just written are eligible
-// for compaction (the active segment never is).
+// rollForTest seals the active segment so the records just written are
+// eligible for compaction (the active segment never is): a snapshot
+// capture rolls the log at its cut.
 func (d *Disk) rollForTest(t *testing.T) {
 	t.Helper()
-	d.wmu.Lock()
-	err := d.rollLocked()
-	d.wmu.Unlock()
-	if err != nil {
+	if err := d.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -169,18 +146,25 @@ func TestSnapshotSeededReopenNoSpuriousRewrite(t *testing.T) {
 	// The fixture really has the shape the bug needs: a sealed segment
 	// whose tombstone bytes put its reclaim at zero while its live ratio
 	// is below the threshold.
-	d.segMu.RLock()
+	type tally struct{ payload, live, tomb int64 }
+	segs := map[uint64]*tally{}
+	seglogtest.ScanRecords(t, pages, path, func(seg uint64, r seglog.Record[wire.PageID], n int64) {
+		if segs[seg] == nil {
+			segs[seg] = &tally{}
+		}
+		segs[seg].payload += n
+		if r.Kind == seglog.RecTomb {
+			segs[seg].tomb += n
+		} else if d.Has(r.Key) {
+			segs[seg].live += n
+		}
+	})
 	shaped := false
-	for _, seg := range d.segs {
-		payload := seg.size.Load() - segHeaderSize
-		tomb := seg.tombBytes.Load()
-		liveB := seg.liveBytes.Load()
-		if tomb > 0 && payload > 0 && payload-liveB-tomb <= 0 &&
-			float64(liveB)/float64(payload) < opts.CompactRatio {
+	for _, g := range segs {
+		if g.tomb > 0 && g.payload-g.live-g.tomb <= 0 && float64(g.live)/float64(g.payload) < opts.CompactRatio {
 			shaped = true
 		}
 	}
-	d.segMu.RUnlock()
 	if !shaped {
 		t.Fatal("fixture built no tombstone-heavy zero-reclaim segment; the test would pass vacuously")
 	}

@@ -4,9 +4,9 @@
 // paper), which keeps the engine interface small: put, ranged get, has.
 //
 // Two engines are provided: Mem, a sharded in-memory store matching the
-// paper's RAM-resident prototype, and Disk, a CRC-checked append-only log
-// with crash recovery for durable deployments (an extension beyond the
-// paper).
+// paper's RAM-resident prototype, and Disk, the page store's
+// instantiation of the durable keyed segment store (seglog.Keyed), for
+// durable deployments (an extension beyond the paper).
 package pagestore
 
 import (
@@ -49,19 +49,29 @@ type Store interface {
 	Close() error
 }
 
-// slicePage extracts the [off, off+length) range from a stored page,
-// handling the WholePage sentinel and bounds checks. Shared by engines.
+// slicePage extracts the [off, off+length) range from a stored page.
 func slicePage(data []byte, off, length uint32) ([]byte, error) {
-	if uint64(off) > uint64(len(data)) {
-		return nil, fmt.Errorf("%w: offset %d beyond page of %d bytes", ErrBadRange, off, len(data))
+	off, n, err := pageSpan(uint32(len(data)), off, length)
+	if err != nil {
+		return nil, err
+	}
+	return data[off : off+n], nil
+}
+
+// pageSpan resolves a [off, off+length) request against a page of size
+// bytes, handling the WholePage sentinel and bounds checks. Shared by
+// engines.
+func pageSpan(size, off, length uint32) (uint32, uint32, error) {
+	if off > size {
+		return 0, 0, fmt.Errorf("%w: offset %d beyond page of %d bytes", ErrBadRange, off, size)
 	}
 	if length == wire.WholePage {
-		return data[off:], nil
+		return off, size - off, nil
 	}
-	if uint64(off)+uint64(length) > uint64(len(data)) {
-		return nil, fmt.Errorf("%w: [%d,+%d) beyond page of %d bytes", ErrBadRange, off, length, len(data))
+	if uint64(off)+uint64(length) > uint64(size) {
+		return 0, 0, fmt.Errorf("%w: [%d,+%d) beyond page of %d bytes", ErrBadRange, off, length, size)
 	}
-	return data[off : off+length], nil
+	return off, length, nil
 }
 
 // memShards spreads page lookups over independent locks so concurrent

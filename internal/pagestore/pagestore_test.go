@@ -11,6 +11,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"blobseer/internal/seglog"
 	"blobseer/internal/wire"
 )
 
@@ -238,7 +239,7 @@ func TestDiskDetectsMidLogCorruption(t *testing.T) {
 
 	// Flip a payload byte of the first record.
 	f, _ := os.OpenFile(segmentPath(path, 1), os.O_RDWR, 0)
-	f.WriteAt([]byte{0xFF}, segHeaderSize+recHeaderSize+recPayloadMin+2)
+	f.WriteAt([]byte{0xFF}, seglog.HeaderSize+seglog.FrameHeaderSize+1+16+2)
 	f.Close()
 
 	if _, err := OpenDisk(path, DiskOptions{}); err == nil {
@@ -255,7 +256,7 @@ func TestDiskDetectsBadMagic(t *testing.T) {
 	f, _ := os.OpenFile(segmentPath(path, 1), os.O_RDWR, 0)
 	var bad [4]byte
 	binary.LittleEndian.PutUint32(bad[:], 0x12345678)
-	f.WriteAt(bad[:], segHeaderSize)
+	f.WriteAt(bad[:], seglog.HeaderSize)
 	f.Close()
 
 	if _, err := OpenDisk(path, DiskOptions{}); err == nil {

@@ -85,7 +85,7 @@ func TestSegmentWriterCommitCrashPoints(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := w.Append(testFmt.Frame([]byte("rewritten-0"))); err != nil {
+			if _, err := w.Append([]byte("rewritten-0")); err != nil {
 				t.Fatal(err)
 			}
 			err = w.Commit(path, crashAt(point, "tmp-written"), crashAt(point, "renamed"))
@@ -134,7 +134,7 @@ func writeTestSegment(t *testing.T, ft *Format, path string, n int, tag string) 
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
-		if _, err := w.Append(ft.Frame([]byte(tag + "-" + string(rune('0'+i))))); err != nil {
+		if _, err := w.Append([]byte(tag + "-" + string(rune('0'+i)))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -227,7 +227,7 @@ func TestHeaderlessSegmentsStartAtZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := w.Append(testWALFmt.Frame([]byte("ev")))
+	first, err := w.Append([]byte("ev"))
 	if err != nil {
 		t.Fatal(err)
 	}

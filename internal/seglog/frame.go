@@ -17,11 +17,19 @@ import (
 // Frame wraps an encoded payload in the on-disk frame.
 func (ft *Format) Frame(payload []byte) []byte {
 	rec := make([]byte, FrameHeaderSize+len(payload))
+	copy(rec[FrameHeaderSize:], payload)
+	ft.sealFrame(rec)
+	return rec
+}
+
+// sealFrame fills in the frame header of rec, whose payload is already
+// in place at rec[FrameHeaderSize:], so a record can be encoded straight
+// into its frame with no second copy.
+func (ft *Format) sealFrame(rec []byte) {
+	payload := rec[FrameHeaderSize:]
 	binary.LittleEndian.PutUint32(rec[0:4], ft.RecMagic)
 	binary.LittleEndian.PutUint32(rec[4:8], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(rec[8:12], crc32.ChecksumIEEE(payload))
-	copy(rec[FrameHeaderSize:], payload)
-	return rec
 }
 
 // Scan reads every record frame in one segment file, already open (and,

@@ -21,23 +21,23 @@ var errFuzzTag = errors.New("seglog: invalid fuzz encoding")
 func FuzzDecodeIndexMeta(f *testing.F) {
 	seed := func(m *IndexMeta) []byte {
 		w := wire.NewWriter(64)
-		EncodeIndexMeta(w, 1, 2, m)
+		EncodeIndexMeta(w, m)
 		return w.Bytes()
 	}
 	f.Add(seed(&IndexMeta{}))
 	f.Add(seed(&IndexMeta{Segs: []SegMeta{{Gen: 1}, {Gen: 7}, {Gen: 3}}}))
-	f.Add(seed(&IndexMeta{HasMeta: true, Segs: []SegMeta{
+	f.Add(seed(&IndexMeta{Segs: []SegMeta{
 		{Gen: 1, Live: 211, Tomb: 42},
 		{Gen: 2},
 		{Gen: 9, Live: 0, Tomb: 63},
 	}}))
 	f.Add([]byte{})
-	f.Add([]byte{1, 0, 0, 0})
+	f.Add([]byte{1, 0, 0, 0}) // format 1 is not a format: rejected
 	f.Add([]byte{2, 0, 0, 0})
 	f.Add([]byte{3, 0, 0, 0, 1, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := wire.NewReader(data)
-		m, err := DecodeIndexMeta(r, 1, 2, errFuzzTag)
+		m, err := DecodeIndexMeta(r, errFuzzTag)
 		if err != nil || r.Err() != nil {
 			return
 		}
@@ -45,7 +45,7 @@ func FuzzDecodeIndexMeta(f *testing.F) {
 		if enc := seed(m); !bytes.Equal(enc, consumed) {
 			t.Fatalf("decode of %x re-encodes to %x", consumed, enc)
 		}
-		// v2 counters are validated non-negative on the way in.
+		// Segment counters are validated non-negative on the way in.
 		for _, s := range m.Segs {
 			if s.Live < 0 || s.Tomb < 0 {
 				t.Fatalf("decoded negative counter: %+v", s)

@@ -1,9 +1,16 @@
 // Package seglog is the one segmented-log core behind the three durable
-// stores: the version manager's WAL (internal/version), the page store's
-// data log (internal/pagestore) and the DHT's metadata log
-// (internal/dht). Each store keeps its own record encoding, index shape
-// and locking, and parameterizes this package over the rest — the
-// mechanics that used to be hand-copied three times:
+// stores: the version manager's WAL (internal/version), the page store
+// (internal/pagestore) and the DHT's metadata log (internal/dht).
+//
+// The page store and the metadata log are the same store with different
+// keys — immutable key→bytes pairs that only the garbage collector ever
+// deletes — so they are both instantiations of Keyed (keyed.go,
+// keyedmaint.go): recovery from an index snapshot plus tail rescan,
+// group-committed appends, incremental snapshot capture, victim picking,
+// tombstone hygiene and in-place segment rewrite live there once, with
+// one lock order. Each of the two stores supplies only a KeyCodec, its
+// magics (a Format) and its own read surface. The version WAL keeps its
+// own event encoding and state, and uses the lower layers directly:
 //
 //   - generation-stamped segment files (<base>.000001, ...) with a fixed
 //     header, or headerless segments for WAL-style logs whose covered
@@ -12,10 +19,9 @@
 //     segment only (a crash mid-append), and hard failure anywhere else
 //     (sealed segments are only ever activated complete)
 //   - snapshot files published by tmp + fsync + atomic rename + dirsync
-//   - index snapshots that record each covered segment's generation —
-//     and, since format v2, its live/tombstone byte counters — so
-//     recovery detects post-snapshot compaction and seeds accurate
-//     reclaim accounting (see indexsnap.go for the v2 story)
+//   - index snapshots that record each covered segment's generation and
+//     live/tombstone byte counters, so recovery detects post-snapshot
+//     compaction and seeds exact reclaim accounting (indexsnap.go)
 //   - leader/batch group commit with one-batch tenure and early lock
 //     release: the leader runs the batch write+fsync with the store
 //     mutex dropped, holding at most a store-supplied shared outer
@@ -31,11 +37,11 @@
 //     fsynced before the rename (writer.go)
 //   - generational tombstone hygiene for compactors (hygiene.go)
 //
-// This package declares no lock order of its own: every lock it touches
-// is owned and declared by the calling store (the Committer borrows the
-// store's writer mutex). Functions that publish files via rename keep
-// the whole sync→rename→dirsync sequence in a single function body so
-// the renamesync analyzer (cmd/blobseer-vet) can see it.
+// Keyed declares its lock order for the lockorder analyzer
+// (cmd/blobseer-vet); the Committer borrows the owning store's writer
+// mutex, so the WAL keeps declaring its own. Functions that publish
+// files via rename keep the whole sync→rename→dirsync sequence in a
+// single function body so the renamesync analyzer can see it.
 package seglog
 
 import (
@@ -95,22 +101,16 @@ func SnapshotTmpPath(base string) string { return base + ".snapshot.tmp" }
 // recovery.
 func CompactTmpPath(base string) string { return base + ".compact.tmp" }
 
-// MigrateTmpPath names an in-progress legacy-log migration; never read
-// by recovery.
-func MigrateTmpPath(base string) string { return base + ".migrate.tmp" }
-
 // RemoveTmp deletes leftover tmp files from interrupted maintenance.
 // They are garbage by construction: only the atomic renames ever
 // activate a tmp file.
 func RemoveTmp(base string) {
 	os.Remove(SnapshotTmpPath(base))
 	os.Remove(CompactTmpPath(base))
-	os.Remove(MigrateTmpPath(base))
 }
 
 // ListSegments returns the segment indices present for base, ascending.
-// Non-numeric siblings (the snapshot, tmp files, a legacy log) are
-// ignored.
+// Non-numeric siblings (the snapshot, tmp files) are ignored.
 func (ft *Format) ListSegments(base string) ([]uint64, error) {
 	entries, err := os.ReadDir(filepath.Dir(base))
 	if err != nil {

@@ -7,7 +7,7 @@ import (
 )
 
 // SegmentWriter builds a replacement segment file — a compaction
-// rewrite or a legacy-log migration — in a tmp path and activates it by
+// rewrite — in a tmp path and activates it by
 // atomic rename. The tmp file is ALWAYS fsynced before the rename, even
 // for stores that do not sync appends: the rename replaces previously
 // durable data, so the replacement must itself be durable first.
@@ -39,12 +39,16 @@ func (ft *Format) NewSegmentWriter(tmp string, gen uint64) (*SegmentWriter, erro
 	return w, nil
 }
 
-// Append buffers one framed record and returns the file offset its
-// frame will start at. Writes go to the file in 1 MB batches.
-func (w *SegmentWriter) Append(frame []byte) (int64, error) {
+// Append frames one record payload into the buffer and returns the
+// file offset its frame will start at. Writes go to the file in 1 MB
+// batches.
+func (w *SegmentWriter) Append(payload []byte) (int64, error) {
 	start := w.off
-	w.buf = append(w.buf, frame...)
-	w.off += int64(len(frame))
+	n := len(w.buf)
+	w.buf = append(w.buf, make([]byte, FrameHeaderSize)...)
+	w.buf = append(w.buf, payload...)
+	w.ft.sealFrame(w.buf[n:])
+	w.off += int64(FrameHeaderSize + len(payload))
 	if len(w.buf) >= 1<<20 {
 		if err := w.flush(); err != nil {
 			return 0, err
